@@ -30,7 +30,7 @@ fn main() {
             let cfg = OneShotStlConfig {
                 lambdas: Lambdas { lambda1: 100.0, lambda2: 100.0, anchor: 1.0 },
                 init,
-                ..Default::default()
+                ..OneShotStlConfig::paper()
             };
             let mut m = OneShotStl::new(cfg);
             match m.run_series(&ds.values, t, split) {

@@ -1,5 +1,6 @@
 //! Core per-point update latency of OneShotSTL (the paper's ">20,000
-//! points/sec per series" claim, PAPER.md §5) across period lengths, plus
+//! points/sec per series" claim, PAPER.md §5) of the library default
+//! configuration across period lengths, plus
 //! the anomaly path under both §3.4 shift-search policies: the default
 //! pruned pipeline (top-k proxy candidates) and the exhaustive search
 //! (`2H + 1` full trials per flagged point).
@@ -46,7 +47,7 @@ fn main() {
         let y = stream(warm + (updates as usize).max(4 * t), t);
 
         // steady state: in-phase stream, no anomalies
-        let mut m = OneShotStl::default_paper();
+        let mut m = OneShotStl::default();
         m.init(&y[..warm], t).unwrap();
         for &v in &y[warm..warm + 1_000.min(y.len() - warm)] {
             std::hint::black_box(m.update(v));

@@ -27,7 +27,11 @@
 //! Emits `BENCH_forecast.json` in the working directory (every mode) and
 //! a markdown report under `target/experiments/`. `--smoke` is the CI
 //! quality gate: it **fails the process** when the undamped STL forecast
-//! loses to seasonal-naive on h = 1 sMAPE over the seasonal family.
+//! loses to seasonal-naive on h = 1 sMAPE over the seasonal family, or
+//! when the default `STL+trend` MAE exceeds the `STL+trend (paper)`
+//! reference row (the paper's `I = 8` IRLS iterations,
+//! [`OneShotStlConfig::paper`]) at any horizon by more than 1% on the
+//! seasonal family or 5% on the trended family.
 
 use benchkit::{Cli, Experiment};
 use fleet::{FleetConfig, FleetEngine, ForecastOptions, PeriodPolicy, Record, SeriesKey};
@@ -137,10 +141,13 @@ fn family(n: usize, len: usize, drift: f64, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The §5 forecaster under a given λ protocol and damping.
-fn stl(lambdas: Lambdas, phi: f64) -> StlForecaster {
-    StlForecaster::new(OneShotStl::new(OneShotStlConfig { lambdas, ..Default::default() }), phi)
+/// The §5 forecaster under a given λ protocol and damping, built on `base`.
+fn stl(base: OneShotStlConfig, lambdas: Lambdas, phi: f64) -> StlForecaster {
+    StlForecaster::new(OneShotStl::new(OneShotStlConfig { lambdas, ..base }), phi)
 }
+
+/// Label of the reference row built from [`OneShotStlConfig::paper`].
+const PAPER_ROW: &str = "STL+trend (paper)";
 
 fn run_family(
     name: &str,
@@ -148,9 +155,19 @@ fn run_family(
     train_len: usize,
     lambdas: Lambdas,
 ) -> Vec<ModelRow> {
+    let default = OneShotStlConfig::default;
     let rows = vec![
-        evaluate(OnlineModel(stl(lambdas, 1.0), "STL+trend"), streams, train_len),
-        evaluate(OnlineModel(stl(lambdas, 0.9), "STL+trend(phi=0.9)"), streams, train_len),
+        evaluate(OnlineModel(stl(default(), lambdas, 1.0), "STL+trend"), streams, train_len),
+        evaluate(
+            OnlineModel(stl(default(), lambdas, 0.9), "STL+trend(phi=0.9)"),
+            streams,
+            train_len,
+        ),
+        evaluate(
+            OnlineModel(stl(OneShotStlConfig::paper(), lambdas, 1.0), PAPER_ROW),
+            streams,
+            train_len,
+        ),
         evaluate(BatchModel(SeasonalNaive::default()), streams, train_len),
         evaluate(BatchModel(Naive::default()), streams, train_len),
     ];
@@ -279,6 +296,23 @@ fn main() {
              (sMAPE {stl_h1:.4} vs {snaive_h1:.4})"
         ));
     }
+    // the default IRLS iteration count must hold the paper's I = 8 forecast
+    for (fname, rows, tol) in
+        [("seasonal", &seasonal_rows, 0.01), ("trended", &trended_rows, 0.05)]
+    {
+        let paper = find(rows, PAPER_ROW);
+        for ((&h, (mae, _)), (paper_mae, _)) in
+            HORIZONS.iter().zip(find(rows, "STL+trend")).zip(paper)
+        {
+            if mae.is_nan() || mae > paper_mae * (1.0 + tol) {
+                failures.push(format!(
+                    "default STL+trend MAE {mae:.4} exceeds the paper-config row \
+                     {paper_mae:.4} by more than {:.0}% at h={h} on the {fname} family",
+                    100.0 * tol
+                ));
+            }
+        }
+    }
 
     // ── reports ─────────────────────────────────────────────────────────
     let mut json = String::new();
@@ -365,7 +399,8 @@ fn main() {
     if failures.is_empty() {
         eprintln!(
             "[forecast_bench] OK: STL beats seasonal-naive at h=1 on the seasonal \
-             family (sMAPE {stl_h1:.4} <= {snaive_h1:.4})"
+             family (sMAPE {stl_h1:.4} <= {snaive_h1:.4}); default STL+trend within \
+             1%/5% of the paper-config MAE (seasonal/trended)"
         );
     } else {
         for f in &failures {

@@ -12,9 +12,9 @@
 //! - full IRLS trials per flagged point (the cost the pruning bounds),
 //! - wall time per update.
 //!
-//! A second sweep compares `iters: 4` vs `iters: 8` (accuracy vs
-//! per-series state footprint — ROADMAP's "shrink per-series state" open
-//! question).
+//! A second sweep runs `iters` ∈ {2, 3, 4, 5, 6, 8} (accuracy vs
+//! per-update cost and per-series state footprint; the record behind the
+//! default `iters: 5`, see `docs/ARCHITECTURE.md`, "IRLS iterations").
 //!
 //! Modes: the default run emits `BENCH_shift_ablation.json` plus a
 //! markdown report under `target/experiments/`; `--smoke` is the CI
@@ -197,7 +197,7 @@ fn main() {
         rows.push(row);
     }
 
-    // ── sweep 2: iters 4 vs 8 (accuracy vs footprint) ───────────────────
+    // ── sweep 2: IRLS iterations (accuracy vs cost and footprint) ───────
     struct ItersRow {
         iters: usize,
         mae: f64,
@@ -205,7 +205,7 @@ fn main() {
         ns_per_update: f64,
     }
     let mut iters_rows: Vec<ItersRow> = Vec::new();
-    for iters in [4usize, 8] {
+    for iters in [2usize, 3, 4, 5, 6, 8] {
         let mut mae = 0.0;
         let mut ns = 0.0;
         let mut bytes = 0usize;

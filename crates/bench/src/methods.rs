@@ -12,8 +12,8 @@ use tskit::stats::mae;
 /// The paper's λ grid (§5.1.4): `λ ∈ {10^0, …, 10^4}`.
 pub const LAMBDA_GRID: [f64; 5] = [1.0, 10.0, 100.0, 1000.0, 10000.0];
 
-/// Tunes `λ1 = λ2 = λ` on the training prefix by running OneShotSTL with
-/// each grid value and picking the one whose trend is closest (MAE) to the
+/// Tunes `λ1 = λ2 = λ` on the training prefix by running OneShotSTL (the
+/// paper's configuration) with each grid value and picking the one whose trend is closest (MAE) to the
 /// STL trend — the procedure described in §5.1.4.
 pub fn tune_lambda(train: &[f64], period: usize) -> f64 {
     let reference = match Stl::new().decompose(train, period) {
@@ -33,7 +33,7 @@ pub fn tune_lambda(train: &[f64], period: usize) -> f64 {
         let cfg = OneShotStlConfig {
             lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
             shift_window: 0,
-            ..Default::default()
+            ..OneShotStlConfig::paper()
         };
         let mut m = OneShotStl::new(cfg);
         let d = match m.run_series(train, period, split) {
@@ -52,7 +52,7 @@ pub fn tune_lambda(train: &[f64], period: usize) -> f64 {
 pub fn oneshotstl_tuned(lambda: f64) -> OneShotStl {
     OneShotStl::new(OneShotStlConfig {
         lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
-        ..Default::default()
+        ..OneShotStlConfig::paper()
     })
 }
 
@@ -62,7 +62,7 @@ pub fn oneshotstl_with(lambda: f64, iters: usize, shift_window: usize) -> OneSho
         lambdas: Lambdas { lambda1: lambda, lambda2: lambda, anchor: 1.0 },
         iters,
         shift_window,
-        ..Default::default()
+        ..OneShotStlConfig::paper()
     })
 }
 

@@ -177,12 +177,18 @@ pub enum InitMethod {
     JointStl,
 }
 
-/// OneShotSTL configuration (paper defaults per §5.1.4).
+/// OneShotSTL configuration: the paper's defaults (§5.1.4) except `iters`
+/// (see [`OneShotStlConfig::paper`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OneShotStlConfig {
     /// Trend penalties λ1, λ2 (the paper ties and tunes them).
     pub lambdas: Lambdas,
-    /// IRLS iterations `I` (paper default 8).
+    /// IRLS iterations `I`. The library default is 5, the smallest count
+    /// that holds every quality gate (see `docs/ARCHITECTURE.md`, "IRLS
+    /// iterations"); the paper (§5.1.4) uses 8. Use
+    /// [`OneShotStlConfig::paper`] for reproductions and for weakly
+    /// regularised trends (λ1 ≈ 1), where extra iterations still sharpen
+    /// the trend.
     pub iters: usize,
     /// Maximum seasonality-shift `H` (paper default 20; 0 disables the
     /// shift search).
@@ -209,7 +215,7 @@ impl Default for OneShotStlConfig {
     fn default() -> Self {
         OneShotStlConfig {
             lambdas: Lambdas::default(),
-            iters: 8,
+            iters: 5,
             shift_window: 20,
             nsigma: 5.0,
             shift_policy: ShiftPolicy::Cumulative,
@@ -218,6 +224,15 @@ impl Default for OneShotStlConfig {
             init: InitMethod::Stl,
             eps: 1e-10,
         }
+    }
+}
+
+impl OneShotStlConfig {
+    /// The paper's configuration (§5.1.4): the library default with
+    /// `I = 8` IRLS iterations. Every paper table and figure reproduction
+    /// is built from it.
+    pub fn paper() -> Self {
+        OneShotStlConfig { iters: 8, ..Default::default() }
     }
 }
 
@@ -232,6 +247,18 @@ struct IterState<S> {
     qw_hist: [f64; 2],
     /// This iteration's trend output at times `m−2, m−1` (Eq. 4–5 inputs).
     tau_hist: [f64; 2],
+}
+
+/// Resizes a trial buffer to `src.len()` in place: truncate when shrinking,
+/// clone only the missing tail when growing. A trial overwrites every
+/// element of its buffer, so the contents need no refresh — models with
+/// different `iters` alternating on one [`UpdateScratch`] re-clone nothing.
+fn fit_len<S: Clone>(buf: &mut Vec<IterState<S>>, src: &[IterState<S>]) {
+    if buf.len() > src.len() {
+        buf.truncate(src.len());
+    } else {
+        buf.extend_from_slice(&src[buf.len()..]);
+    }
 }
 
 /// The outcome of running all IRLS iterations for one candidate shift.
@@ -281,7 +308,8 @@ struct TrialBufs<S: TailSolver> {
 /// `UpdateScratch` per thread and pass it to every model's
 /// `update_with_scratch`: the scratch stays hot in cache across series and
 /// per-model scratch memory drops to zero. Buffers are sized lazily on
-/// first use and resized automatically if models disagree on `iters`.
+/// first use and resized in place when models disagree on `iters` (a
+/// fleet holding restored `I = 8` series beside default ones).
 #[derive(Debug, Clone, Default)]
 pub struct UpdateScratch<S: TailSolver>(TrialBufs<S>);
 
@@ -332,9 +360,9 @@ impl OneShotStl {
         OnlineJointStl::with_solver(config)
     }
 
-    /// OneShotSTL with all paper defaults.
+    /// OneShotSTL with all paper defaults ([`OneShotStlConfig::paper`]).
     pub fn default_paper() -> Self {
-        Self::new(OneShotStlConfig::default())
+        Self::new(OneShotStlConfig::paper())
     }
 
     /// Extracts a plain-data snapshot of the full online state (see
@@ -650,12 +678,9 @@ impl<S: TailSolver> OnlineJointStl<S> {
                 u3[s] = self.u_hist[2 - (m_new - 1 - j)];
             }
         }
-        if out.len() != self.iters.len() {
-            // first trial after init/restore (or a poisoned buffer after a
-            // panic): (re)size the scratch; every later trial reuses it
-            out.clear();
-            out.extend(self.iters.iter().cloned());
-        }
+        // first trial after init/restore, or a model with another `iters`
+        // on a shared scratch: resize; every later trial reuses the buffer
+        fit_len(out, &self.iters);
         let eps = self.config.eps;
         let mut p_fresh = 1.0;
         let mut q_fresh = 1.0;
@@ -815,12 +840,8 @@ impl<S: TailSolver> OnlineJointStl<S> {
             if bufs.cand.capacity() < want {
                 bufs.cand.reserve(want);
             }
-            for buf in [&mut bufs.best, &mut bufs.trial] {
-                if buf.len() != self.iters.len() {
-                    buf.clear();
-                    buf.extend(self.iters.iter().cloned());
-                }
-            }
+            fit_len(&mut bufs.best, &self.iters);
+            fit_len(&mut bufs.trial, &self.iters);
         }
         let base = self.run_trial_into(y, self.shift, &mut bufs.base, &mut bufs.solver);
         let verdict = self.nsigma.score_only(base.point.residual);
@@ -1075,6 +1096,37 @@ mod tests {
             "shift handling should reduce post-shift residual: {e_with} vs {e_without}"
         );
         assert!(e_with < 0.5, "post-shift residual too large: {e_with}");
+    }
+
+    #[test]
+    fn mixed_iters_on_one_scratch_match_separate_scratches() {
+        // a fleet shard after the default flip: restored I = 8 series next
+        // to new I = 5 admissions, all on one shared scratch
+        let t = 24;
+        let y = seasonal(800, t, 0.05, 9);
+        let build = |cfg: OneShotStlConfig| {
+            let mut m = OneShotStl::new(cfg);
+            m.init(&y[..4 * t], t).unwrap();
+            m
+        };
+        let mut shared_models = [build(OneShotStlConfig::paper()), build(Default::default())];
+        let mut own_models = shared_models.clone();
+        let mut shared = UpdateScratch::default();
+        let mut own = [UpdateScratch::default(), UpdateScratch::default()];
+        for (i, &v) in y[4 * t..].iter().enumerate() {
+            // spikes run the shift search on both models
+            let v = if i % 97 == 50 { v + 30.0 } else { v };
+            for k in 0..2 {
+                let a = shared_models[k].update_with_scratch(v, &mut shared);
+                let b = own_models[k].update_with_scratch(v, &mut own[k]);
+                assert_eq!(
+                    [a.trend.to_bits(), a.seasonal.to_bits(), a.residual.to_bits()],
+                    [b.trend.to_bits(), b.seasonal.to_bits(), b.residual.to_bits()],
+                    "model {k} diverged at update {i}"
+                );
+            }
+        }
+        assert!(shared_models.iter().all(|m| m.shift_search_stats().0 > 0));
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! fixed-size scratch, and the exhaustive `Off` policy that runs all
 //! `2H + 1` retry trials), and updates that impute non-finite input.
 //! A second test extends the guarantee to the fused residual-scoring
-//! path (CUSUM + peak-hold on top of the decomposition), and a third to
-//! the trend-innovation CUSUM backend (`TrendCusum`).
+//! path (CUSUM + peak-hold on top of the decomposition), a third to
+//! the trend-innovation CUSUM backend (`TrendCusum`), and a fourth to
+//! models with different `iters` alternating on one shared
+//! [`UpdateScratch`] (a fleet shard holding restored `I = 8` series beside
+//! new default admissions).
 //!
 //! The counting global allocator below makes the claim a hard test rather
 //! than a code-review property. CI runs this test file explicitly
@@ -15,7 +18,7 @@
 //! regression guard cannot be skipped silently.
 
 use decomp::traits::OnlineDecomposer;
-use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftSearchConfig};
+use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftSearchConfig, UpdateScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 
 /// Counts every allocation request routed to the system allocator,
@@ -251,4 +254,43 @@ fn trend_cusum_update_performs_zero_heap_allocations() {
         std::hint::black_box(t.update(v));
     }
     assert_eq!(allocs() - before, 0, "post-excursion trend update allocated");
+}
+
+/// Models with different `iters` sharing one [`UpdateScratch`] resize its
+/// trial buffers in place on every switch: once both have run, alternating
+/// updates — plain and flagged — perform zero heap allocations.
+#[test]
+fn alternating_iters_on_shared_scratch_perform_zero_heap_allocations() {
+    let t = 48usize;
+    let n = 4 * t + 1_200;
+    let y: Vec<f64> = (0..n)
+        .map(|i| 2.0 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
+        .collect();
+    let mut models = [OneShotStl::new(OneShotStlConfig::paper()), OneShotStl::default()];
+    assert_ne!(models[0].config.iters, models[1].config.iters);
+    for m in &mut models {
+        m.init(&y[..4 * t], t).unwrap();
+    }
+    let mut scratch = UpdateScratch::default();
+    // warm-up: walk both models' solvers into the POD steady state and
+    // let the noise-free stream's early false alarms size the search
+    // buffers at the larger `iters`
+    for &v in &y[4 * t..4 * t + 16] {
+        for m in &mut models {
+            std::hint::black_box(m.update_with_scratch(v, &mut scratch));
+        }
+    }
+
+    let before = allocs();
+    for (i, &v) in y[4 * t + 16..].iter().enumerate() {
+        // a spike every 200 points runs the shift search on both models
+        let v = if i % 200 == 100 { v + 50.0 } else { v };
+        for m in &mut models {
+            std::hint::black_box(m.update_with_scratch(v, &mut scratch));
+        }
+    }
+    assert_eq!(allocs() - before, 0, "alternating-iters update allocated");
+    for m in &models {
+        assert!(m.shift_search_stats().0 > 1, "the spikes must have run the search");
+    }
 }

@@ -798,13 +798,14 @@ fn pinned_v8_snapshot_blob_restores_and_continues_bit_identically() {
     assert_eq!((stats.spills, stats.rehydrations, stats.cold_errors), (0, 0, 0));
 
     // rebuild the blob's detector through the public API and continue the
-    // twin streams: the v8-restored engine must track it bit for bit
+    // twin streams: the v8-restored engine must track it bit for bit (the
+    // blob encodes the paper's I = 8, which the restored series keeps)
     let t = 12usize;
     let y: Vec<f64> = (0..8 * t)
         .map(|i| 1.5 + (2.0 * std::f64::consts::PI * i as f64 / t as f64).sin())
         .collect();
     let mut twin = StdAnomalyDetector::with_score(
-        OneShotStl::new(OneShotStlConfig::default()),
+        OneShotStl::new(OneShotStlConfig::paper()),
         5.0,
         ScoreConfig::default(),
     );
