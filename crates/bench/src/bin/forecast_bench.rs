@@ -155,19 +155,19 @@ fn run_family(
     train_len: usize,
     lambdas: Lambdas,
 ) -> Vec<ModelRow> {
-    let default = OneShotStlConfig::default;
+    let (default, paper) = (OneShotStlConfig::default(), OneShotStlConfig::paper());
     let rows = vec![
-        evaluate(OnlineModel(stl(default(), lambdas, 1.0), "STL+trend"), streams, train_len),
         evaluate(
-            OnlineModel(stl(default(), lambdas, 0.9), "STL+trend(phi=0.9)"),
+            OnlineModel(stl(default.clone(), lambdas, 1.0), "STL+trend"),
             streams,
             train_len,
         ),
         evaluate(
-            OnlineModel(stl(OneShotStlConfig::paper(), lambdas, 1.0), PAPER_ROW),
+            OnlineModel(stl(default, lambdas, 0.9), "STL+trend(phi=0.9)"),
             streams,
             train_len,
         ),
+        evaluate(OnlineModel(stl(paper, lambdas, 1.0), PAPER_ROW), streams, train_len),
         evaluate(BatchModel(SeasonalNaive::default()), streams, train_len),
         evaluate(BatchModel(Naive::default()), streams, train_len),
     ];
