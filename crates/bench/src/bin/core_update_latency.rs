@@ -14,7 +14,7 @@
 
 use benchkit::{Cli, Experiment};
 use decomp::traits::OnlineDecomposer;
-use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftSearchConfig};
+use oneshotstl::{OneShotStl, OneShotStlConfig, ShiftPolicy, ShiftSearchConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -22,8 +22,9 @@ struct Run {
     period: usize,
     updates: u64,
     ns_per_update: f64,
-    /// Anomaly-path latency, default pruned search: every measured point
-    /// triggers the NSigma verdict and a top-k candidate pipeline.
+    /// Anomaly-path latency, default pruned search under the one-flag
+    /// trigger: (nearly) every measured point triggers the NSigma verdict
+    /// and a top-k candidate pipeline.
     ns_per_shift_update: f64,
     /// Anomaly-path latency, exhaustive search (all `2H + 1` trials).
     ns_per_full_shift_update: f64,
@@ -59,15 +60,20 @@ fn main() {
         }
         let ns = start.elapsed().as_nanos() as f64 / updates as f64;
 
-        // anomaly path: giant spikes force the §3.4 search on every
-        // measured point — once pruned (default top-k pipeline), once
-        // exhaustive (2H+1 = 41 retry trials with paper defaults)
+        // anomaly path: a +100 level jump forces the §3.4 search on
+        // (nearly) every measured point — once pruned (default top-k
+        // pipeline), once exhaustive (2H+1 = 41 retry trials with paper
+        // defaults). The one-flag paper trigger keeps the search running:
+        // under the default two-flag trigger the trend absorbs the jump
+        // and the search stops after ~10 points, so the rows would time
+        // plain updates
         let mut shift_ns = [0.0f64; 2];
         for (slot, search) in
             [ShiftSearchConfig::default(), ShiftSearchConfig::exhaustive()].iter().enumerate()
         {
             let mut m2 = OneShotStl::new(OneShotStlConfig {
                 shift_search: *search,
+                shift_policy: ShiftPolicy::Cumulative,
                 ..Default::default()
             });
             m2.init(&y[..warm], t).unwrap();

@@ -16,16 +16,25 @@
 //! per-update cost and per-series state footprint; the record behind the
 //! default `iters: 5`, see `docs/ARCHITECTURE.md`, "IRLS iterations").
 //!
+//! A third part prices the search *trigger*: the default two-flag
+//! [`ShiftPolicy::Confirmed`] against the paper's one-flag
+//! [`ShiftPolicy::Cumulative`], on a spiky stationary-phase fixture
+//! (searches per kpt, per 1000-point block) and on the shifted fixtures
+//! (MAE).
+//!
 //! Modes: the default run emits `BENCH_shift_ablation.json` plus a
 //! markdown report under `target/experiments/`; `--smoke` is the CI
 //! gate — a reduced sweep that **fails the process** when the default
 //! pruned policy regresses (MAE gap vs full search > 1%, or more than
-//! `k + 1` trials per flagged point).
+//! `k + 1` trials per flagged point), or when the default trigger runs
+//! more than 5 searches per kpt on the spiky fixture, searches more in
+//! its last block than in its first, or loses more than 5% MAE to the
+//! one-flag trigger on the shifted fixtures.
 
 use benchkit::{Cli, Experiment};
 use decomp::traits::OnlineDecomposer;
 use oneshotstl::{
-    OneShotStl, OneShotStlConfig, OneShotStlState, ShiftSearchConfig, SolverState,
+    OneShotStl, OneShotStlConfig, OneShotStlState, ShiftPolicy, ShiftSearchConfig, SolverState,
     DEFAULT_SHIFT_TOP_K,
 };
 use std::fmt::Write as _;
@@ -68,6 +77,44 @@ fn fixture(seed: u64, noise_amp: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
         values.push(c + noise_amp * noise_unit(seed, i));
     }
     (values, clean)
+}
+
+/// Online points of a spiky fixture series, in `SPIKY_BLOCKS` blocks of
+/// 1000.
+const SPIKY_BLOCKS: usize = 4;
+
+/// One spiky stationary-phase series: season (amplitude 1–2, random
+/// phase) + a gentle trend + ±0.05 noise, with isolated +1.5 spikes on
+/// 0.2% of points and no phase change — the `Normal` series shape of the
+/// repo benchmark. Every search on it is a false one.
+fn spiky_fixture(seed: u64, n: usize) -> Vec<f64> {
+    let phase = (noise_unit(seed, usize::MAX) + 1.0) / 2.0;
+    let amp = 1.5 + noise_unit(seed, usize::MAX - 1) / 2.0;
+    let slope = 0.0005 * (seed % 5) as f64;
+    (0..n)
+        .map(|i| {
+            let x = i as f64 / PERIOD as f64 + phase;
+            let spike = if noise_unit(seed ^ 0x5b1e, i) < -0.996 { 1.5 } else { 0.0 };
+            amp * (2.0 * std::f64::consts::PI * x).sin()
+                + slope * i as f64
+                + 0.05 * noise_unit(seed, i)
+                + spike
+        })
+        .collect()
+}
+
+/// Shift searches per 1000-point block of a spiky fixture series.
+fn spiky_blocks(values: &[f64], cfg: OneShotStlConfig) -> [u64; SPIKY_BLOCKS] {
+    let init = INIT_CYCLES * PERIOD;
+    let mut m = OneShotStl::new(cfg);
+    m.init(&values[..init], PERIOD).unwrap();
+    let mut blocks = [0u64; SPIKY_BLOCKS];
+    for (i, &v) in values[init..].iter().enumerate() {
+        let before = m.shift_search_stats().0;
+        m.update(v);
+        blocks[i / 1000] += m.shift_search_stats().0 - before;
+    }
+    blocks
 }
 
 struct RunOut {
@@ -224,6 +271,48 @@ fn main() {
         iters_rows.push(ItersRow { iters, mae, state_bytes: bytes, ns_per_update: ns });
     }
 
+    // ── sweep 3: search trigger (two-flag default vs one-flag paper) ───
+    struct TriggerRow {
+        label: &'static str,
+        /// Searches per 1000-point block, summed over the spiky series.
+        blocks: [u64; SPIKY_BLOCKS],
+        /// Searches per kpt over the whole spiky fixture.
+        per_kpt: f64,
+        /// MAE on the shifted fixtures.
+        shifted_mae: f64,
+    }
+    let spiky_series: usize = if quick { 4 } else { 16 };
+    let spiky: Vec<Vec<f64>> = (0..spiky_series as u64)
+        .map(|s| spiky_fixture(100 + s, INIT_CYCLES * PERIOD + 1000 * SPIKY_BLOCKS))
+        .collect();
+    let mut trigger_rows: Vec<TriggerRow> = Vec::new();
+    for (label, policy) in [
+        ("Confirmed (default)", ShiftPolicy::default()),
+        ("Cumulative (paper)", ShiftPolicy::Cumulative),
+    ] {
+        let cfg = OneShotStlConfig { shift_policy: policy, ..Default::default() };
+        let mut blocks = [0u64; SPIKY_BLOCKS];
+        for values in &spiky {
+            for (b, n) in blocks.iter_mut().zip(spiky_blocks(values, cfg.clone())) {
+                *b += n;
+            }
+        }
+        let per_kpt = blocks.iter().sum::<u64>() as f64 / (spiky_series * SPIKY_BLOCKS) as f64;
+        let shifted_mae = streams
+            .iter()
+            .map(|(values, clean)| run(values, clean, cfg.clone()).mae)
+            .sum::<f64>()
+            / streams.len() as f64;
+        eprintln!(
+            "[shift_ablation] trigger {label}: spiky {per_kpt:.2} searches/kpt \
+             (per block {blocks:?}), shifted mae {shifted_mae:.5}"
+        );
+        trigger_rows.push(TriggerRow { label, blocks, per_kpt, shifted_mae });
+    }
+    let (confirmed, one_flag) = (&trigger_rows[0], &trigger_rows[1]);
+    let trigger_gap_pct =
+        100.0 * (confirmed.shifted_mae - one_flag.shifted_mae) / one_flag.shifted_mae;
+
     // ── the CI gate: the shipped default must hold its quality bar ──────
     let default_row = rows
         .iter()
@@ -244,6 +333,26 @@ fn main() {
             "default TopK({DEFAULT_SHIFT_TOP_K}) ran {:.2} full trials per flagged point \
              (bound: {bound})",
             default_row.trials_per_search
+        ));
+    }
+
+    if confirmed.per_kpt.is_nan() || confirmed.per_kpt > 5.0 {
+        failures.push(format!(
+            "default trigger ran {:.2} shift searches per kpt on the spiky fixture (> 5)",
+            confirmed.per_kpt
+        ));
+    }
+    if confirmed.blocks[SPIKY_BLOCKS - 1] > confirmed.blocks[0] {
+        failures.push(format!(
+            "default trigger's search rate grows with stream age on the spiky fixture \
+             (per block {:?})",
+            confirmed.blocks
+        ));
+    }
+    if trigger_gap_pct.is_nan() || trigger_gap_pct > 5.0 {
+        failures.push(format!(
+            "default trigger MAE on the shifted fixtures is {trigger_gap_pct:+.2}% vs the \
+             one-flag trigger (> +5%)"
         ));
     }
 
@@ -278,6 +387,19 @@ fn main() {
             "    {{\"iters\": {}, \"mae\": {:.6}, \"state_bytes\": {}, \
              \"ns_per_update\": {:.0}}}{comma}",
             r.iters, r.mae, r.state_bytes, r.ns_per_update
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"spiky_series\": {spiky_series},");
+    let _ = writeln!(json, "  \"trigger_mae_gap_pct\": {trigger_gap_pct:.3},");
+    let _ = writeln!(json, "  \"trigger\": [");
+    for (i, r) in trigger_rows.iter().enumerate() {
+        let comma = if i + 1 == trigger_rows.len() { "" } else { "," };
+        let _ = writeln!(
+            json,
+            "    {{\"policy\": \"{}\", \"spiky_searches_per_kpt\": {:.3}, \
+             \"spiky_searches_per_block\": {:?}, \"shifted_mae\": {:.6}}}{comma}",
+            r.label, r.per_kpt, r.blocks, r.shifted_mae
         );
     }
     let _ = writeln!(json, "  ]");
@@ -318,6 +440,21 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
+    report.table(
+        "Search trigger: spiky stationary-phase fixture and shifted fixtures",
+        &["trigger", "spiky searches/kpt", "searches per 1000-pt block", "shifted MAE"],
+        &trigger_rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.label.to_string(),
+                    format!("{:.2}", r.per_kpt),
+                    format!("{:?}", r.blocks),
+                    format!("{:.5}", r.shifted_mae),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
     report.para(&format!(
         "{} fixtures × {n} points, period {PERIOD}, shift window H = {h} \
          (full search = {} trials/flagged). MAE is |τ̂+ŝ − clean| from the \
@@ -330,8 +467,10 @@ fn main() {
     if failures.is_empty() {
         eprintln!(
             "[shift_ablation] OK: default TopK({DEFAULT_SHIFT_TOP_K}) holds the quality bar \
-             (gap {:+.2}% ≤ +1%, {:.1} ≤ {bound} trials/flagged)",
-            default_row.mae_gap_pct, default_row.trials_per_search
+             (gap {:+.2}% ≤ +1%, {:.1} ≤ {bound} trials/flagged); default trigger \
+             {:.2} ≤ 5 spiky searches/kpt, shifted MAE {trigger_gap_pct:+.2}% ≤ +5% vs \
+             one-flag",
+            default_row.mae_gap_pct, default_row.trials_per_search, confirmed.per_kpt
         );
     } else {
         for f in &failures {

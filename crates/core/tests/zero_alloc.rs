@@ -87,12 +87,16 @@ fn assert_zero_alloc_stream(search: ShiftSearchConfig, label: &str) {
     }
     assert_eq!(allocs() - before, 0, "[{label}] steady-state update allocated");
 
-    // 2) an anomalous spike: NSigma flags it and the §3.4 shift search
-    //    runs its trials (all 2H+1 under Off, proxy-pruned under TopK;
-    //    H = 20 with paper defaults)
+    // 2) a two-point excursion: NSigma flags both points and the second
+    //    runs the §3.4 shift search's trials (all 2H+1 under Off,
+    //    proxy-pruned under TopK; H = 20 with paper defaults)
+    let (searched, _) = m.shift_search_stats();
     let before = allocs();
-    std::hint::black_box(m.update(y[4 * t + 1_016] + 50.0));
+    for &v in &y[4 * t + 1_016..4 * t + 1_018] {
+        std::hint::black_box(m.update(v + 50.0));
+    }
     assert_eq!(allocs() - before, 0, "[{label}] shift-retry update allocated");
+    assert!(m.shift_search_stats().0 > searched, "[{label}] the excursion must search");
 
     // 3) non-finite input: the imputation path
     let before = allocs();
@@ -101,7 +105,7 @@ fn assert_zero_alloc_stream(search: ShiftSearchConfig, label: &str) {
 
     // 4) and the stream continues allocation-free after both excursions
     let before = allocs();
-    for &v in &y[4 * t + 1_017..4 * t + 1_517] {
+    for &v in &y[4 * t + 1_018..4 * t + 1_518] {
         std::hint::black_box(m.update(v));
     }
     assert_eq!(allocs() - before, 0, "[{label}] post-excursion update allocated");
@@ -130,15 +134,16 @@ fn assert_zero_alloc_late_flags(search: ShiftSearchConfig, label: &str) {
     }
     let (searches, _) = m.shift_search_stats();
     assert_eq!(searches, 0, "[{label}] the noisy warm-up must stay calm — no search yet");
-    // two consecutive flagged updates: the first exercises a fresh search,
+    // two two-point excursions: under the default trigger the second
+    // point of each runs the search — the first excursion a fresh search,
     // the second the post-swap buffer state
-    for (i, spike) in [50.0, 500.0].into_iter().enumerate() {
+    for (i, spike) in [(500, 50.0), (501, 50.0), (503, 500.0), (504, 500.0)] {
         let before = allocs();
-        std::hint::black_box(m.update(y[4 * t + 500 + i] + spike));
+        std::hint::black_box(m.update(y[4 * t + i] + spike));
         assert_eq!(allocs() - before, 0, "[{label}] late flagged update {i} allocated");
     }
     let (searches, _) = m.shift_search_stats();
-    assert_eq!(searches, 2, "[{label}] both spikes must have run the search");
+    assert_eq!(searches, 2, "[{label}] both excursions must have run the search");
 }
 
 /// One test covers every hot-path branch — under both shift-search
@@ -283,8 +288,10 @@ fn alternating_iters_on_shared_scratch_perform_zero_heap_allocations() {
 
     let before = allocs();
     for (i, &v) in y[4 * t + 16..].iter().enumerate() {
-        // a spike every 200 points runs the shift search on both models
-        let v = if i % 200 == 100 { v + 50.0 } else { v };
+        // a two-point excursion every 200 points runs the shift search on
+        // both models (its second point confirms the first under the
+        // default trigger)
+        let v = if matches!(i % 200, 100 | 101) { v + 50.0 } else { v };
         for m in &mut models {
             std::hint::black_box(m.update_with_scratch(v, &mut scratch));
         }

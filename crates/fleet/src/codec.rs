@@ -658,6 +658,7 @@ fn encode_detector_config(w: &mut Writer, c: &OneShotStlConfig) {
     w.u8(match c.shift_policy {
         ShiftPolicy::Cumulative => 0,
         ShiftPolicy::Transient => 1,
+        ShiftPolicy::Confirmed => 2,
     });
     w.f64(c.shift_accept_ratio);
     w.u8(match c.init {
@@ -709,6 +710,9 @@ fn decode_detector_config(
     let shift_policy = match r.u8()? {
         0 => ShiftPolicy::Cumulative,
         1 => ShiftPolicy::Transient,
+        // every writer before the `Confirmed` default wrote 0 or 1, so a
+        // restored series keeps the trigger it was written with
+        2 => ShiftPolicy::Confirmed,
         _ => return Err(CodecError::Invalid("shift policy tag")),
     };
     let shift_accept_ratio = r.f64()?;
@@ -1602,6 +1606,32 @@ mod tests {
         };
         overrides.lambda = Some(f64::NAN);
         assert_eq!(decode(&encode(&snap)), Err(CodecError::Invalid("admit options")));
+    }
+
+    /// Every shift policy round-trips through its tag byte (2 is the
+    /// two-flag `Confirmed` default); an unknown tag is refused.
+    #[test]
+    fn every_shift_policy_tag_roundtrips() {
+        for (policy, tag) in [
+            (ShiftPolicy::Cumulative, 0u8),
+            (ShiftPolicy::Transient, 1),
+            (ShiftPolicy::Confirmed, 2),
+        ] {
+            let config = OneShotStlConfig { shift_policy: policy, ..Default::default() };
+            let mut w = Writer::default();
+            encode_detector_config(&mut w, &config);
+            // λ1, λ2, anchor, iters, shift_window, nsigma precede the tag
+            let at = 3 * 8 + 2 * 4 + 8;
+            assert_eq!(w.buf[at], tag, "{policy:?} tag");
+            let mut r = Reader { data: &w.buf, pos: 0 };
+            assert_eq!(decode_detector_config(&mut r, VERSION), Ok(config));
+            w.buf[at] = 3;
+            let mut r = Reader { data: &w.buf, pos: 0 };
+            assert_eq!(
+                decode_detector_config(&mut r, VERSION),
+                Err(CodecError::Invalid("shift policy tag"))
+            );
+        }
     }
 
     /// Hand-encodes the v3 layout of [`sample_snapshot`] (no shift-search

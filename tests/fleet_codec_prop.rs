@@ -4,10 +4,11 @@
 //! Three properties:
 //!
 //! 1. **Round-trip bit-identity.** Arbitrary fleet states — varying shard
-//!    counts, series mixes, stream lengths (warming and live phases), and
+//!    counts, series mixes, stream lengths (warming and live phases),
 //!    per-series detection backends (fused / DAMP / trend-CUSUM / ensemble)
-//!    — encode to bytes that decode and re-encode to the *same* bytes, and
-//!    a restored engine re-snapshots to those bytes too.
+//!    and every shift policy — encode to bytes that decode and re-encode
+//!    to the *same* bytes, and a restored engine re-snapshots to those
+//!    bytes too.
 //! 2. **Truncation fails closed.** Every proper prefix of a valid snapshot
 //!    decodes to a typed [`CodecError`], never a panic.
 //! 3. **Corruption never panics.** A single-byte XOR anywhere either still
@@ -16,7 +17,7 @@
 
 use std::sync::OnceLock;
 
-use oneshotstl_suite::core::ScoreConfig;
+use oneshotstl_suite::core::{OneShotStlConfig, ScoreConfig, ShiftPolicy};
 use oneshotstl_suite::fleet::{
     codec, AdmitOptions, BackendSelect, CodecError, DampOptions, EnsembleFusion,
     EnsembleOptions, FleetConfig, FleetEngine, PeriodPolicy, Record,
@@ -44,13 +45,22 @@ fn backend_menu() -> Vec<Option<BackendSelect>> {
     ]
 }
 
-/// Builds an engine with `n_series` deterministic seasonal streams, one
-/// backend selection per series rotated through [`backend_menu`], runs it
-/// for `len` points, and returns its snapshot bytes.
-fn snapshot_of(shards: usize, n_series: usize, len: u64, phase: f64, amp: f64) -> Vec<u8> {
+/// Builds an engine with `n_series` deterministic seasonal streams under
+/// the detector shift `policy`, one backend selection per series rotated
+/// through [`backend_menu`], runs it for `len` points, and returns its
+/// snapshot bytes.
+fn snapshot_of(
+    shards: usize,
+    n_series: usize,
+    len: u64,
+    phase: f64,
+    amp: f64,
+    policy: ShiftPolicy,
+) -> Vec<u8> {
     let mut engine = FleetEngine::new(FleetConfig {
         shards,
         period: PeriodPolicy::Fixed(PERIOD),
+        detector: OneShotStlConfig { shift_policy: policy, ..Default::default() },
         ..Default::default()
     })
     .unwrap();
@@ -85,7 +95,7 @@ fn snapshot_of(shards: usize, n_series: usize, len: u64, phase: f64, amp: f64) -
 /// dominate their runtime for no extra coverage).
 fn canonical_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| snapshot_of(2, 6, 90, 0.3, 2.0))
+    BYTES.get_or_init(|| snapshot_of(2, 6, 90, 0.3, 2.0, ShiftPolicy::default()))
 }
 
 proptest! {
@@ -98,12 +108,18 @@ proptest! {
         len in 5u64..110,
         phase in 0.0f64..6.25,
         amp in 0.5f64..3.0,
+        policy in prop::sample::select(vec![
+            ShiftPolicy::Cumulative,
+            ShiftPolicy::Transient,
+            ShiftPolicy::Confirmed,
+        ]),
     ) {
-        let bytes = snapshot_of(shards, n_series, len, phase, amp);
+        let bytes = snapshot_of(shards, n_series, len, phase, amp, policy);
 
         // Codec-level bit identity: decode then re-encode reproduces the
         // exact byte string, and the decoded snapshot is a fixed point.
         let snap = codec::decode(&bytes).expect("own snapshot decodes");
+        prop_assert_eq!(snap.config.detector.shift_policy, policy);
         let re = codec::encode(&snap);
         prop_assert_eq!(&re, &bytes);
         prop_assert_eq!(codec::decode(&re).expect("re-encoded decodes"), snap);
